@@ -545,11 +545,13 @@ def experiment_e3_lp_scaling(*, sizes: Sequence[int] = (1000, 5000, 10_000),
                              seed: int = 3) -> Table:
     """Sparse Vdd-Hopping LP assembly and solve times on large general DAGs.
 
-    One row per size: CSR assembly time, HiGHS solve time, the actual
-    constraint-matrix bytes next to what the former dense assembly would
-    have allocated, and the process peak RSS after the solve.  Expected
-    shape: assembly stays sub-second at 10k tasks with a memory ratio in
-    the thousands (the dense equivalent would be >100 GB).
+    One row per size: CSR assembly time, HiGHS solve time (the auto-switch
+    picks the interior point on these dense layered DAGs), the size of the
+    duration-epigraph LP (``3n`` variables), its actual constraint-matrix
+    bytes next to a dense assembly of the same matrices, and the process
+    peak RSS after the solve.  Expected shape: assembly stays sub-second at
+    10k tasks with a memory ratio in the thousands (the dense equivalent
+    would be ~90 GB).
     """
     import resource
 

@@ -51,30 +51,33 @@ def _solve_simplex(mat: MaterializedLP, options: Mapping[str, Any],
             f"{n_vars} — use backend='highs', which consumes the sparse "
             "matrices natively"
         )
-    if (mat.lower != 0.0).any():
+    lower = mat.lower
+    if not np.isfinite(lower).all():
         raise SolverError(
-            f"simplex backend expects zero lower bounds on LP {mat.name!r}"
+            f"simplex backend expects finite lower bounds on LP {mat.name!r}"
         )
+    # shift x = lower + x' so the tableau sees x' >= 0; the right-hand
+    # sides, upper bounds and objective absorb the shift
+    b_ub = mat.b_ub - mat.a_ub @ lower
+    b_eq = mat.b_eq - mat.a_eq @ lower
     # fold finite upper bounds into extra <= rows, keeping them sparse until
     # the single densification below
     up_cols = np.flatnonzero(np.isfinite(mat.upper))
+    a_ub_sparse = mat.a_ub
     if len(up_cols):
         bound_rows = sparse.csr_matrix(
             (np.ones(len(up_cols)), (np.arange(len(up_cols)), up_cols)),
             shape=(len(up_cols), n_vars))
         a_ub_sparse = sparse.vstack([mat.a_ub, bound_rows], format="csr")
-        b_ub = np.concatenate([mat.b_ub, mat.upper[up_cols]])
-    else:
-        a_ub_sparse = mat.a_ub
-        b_ub = mat.b_ub
+        b_ub = np.concatenate([b_ub, (mat.upper - lower)[up_cols]])
     result = solve_lp_simplex(
         mat.c, a_ub=a_ub_sparse.toarray(), b_ub=b_ub,
-        a_eq=mat.a_eq.toarray(), b_eq=mat.b_eq,
+        a_eq=mat.a_eq.toarray(), b_eq=b_eq,
         max_iterations=int(options.get("max_iterations", 20000)))
     if result.status != "optimal":
         raise SolverError(
             f"simplex backend reports LP {mat.name!r} is {result.status}"
         )
-    return result.x, float(result.objective), {
+    return lower + result.x, float(result.objective + mat.c @ lower), {
         "iterations": int(result.iterations),
     }

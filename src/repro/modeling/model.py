@@ -138,6 +138,16 @@ class MaterializedLP:
         return [(float(lo), None if np.isinf(hi) else float(hi))
                 for lo, hi in zip(self.lower, self.upper)]
 
+    def constraint_memory(self) -> dict[str, int]:
+        """Actual sparse constraint-matrix bytes vs the dense equivalent."""
+        mats = (self.a_ub, self.a_eq)
+        return {
+            "sparse_bytes": int(sum(m.data.nbytes + m.indices.nbytes
+                                    + m.indptr.nbytes for m in mats)),
+            "dense_equivalent_bytes": int(sum(m.shape[0] * m.shape[1] * 8
+                                              for m in mats)),
+        }
+
 
 @dataclass(frozen=True)
 class MaterializedConvex:

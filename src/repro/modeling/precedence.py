@@ -4,17 +4,15 @@ Every scheduling program in the library constrains the same polytope: for
 each DAG edge ``(u, v)`` the successor may only start after its
 predecessor finishes (``t_u - t_v + dur_v <= 0``), and every task must fit
 between time zero and its own completion (``dur_i - t_i <= 0``).  The only
-thing that varies between energy models is what a *duration* is made of —
-one variable ``d_i`` in the Continuous program, the sum of the per-mode
-times ``sum_k time[i, k]`` in the Vdd-Hopping LP and the discrete
-relaxation.
+thing that varies between programs is which variables form a *duration*;
+the Continuous program and the Vdd-Hopping LP (with the discrete
+relaxation it shares) each hold one variable ``d_i`` per task.
 
 :func:`declare_precedence` captures that shape once: callers pass the
 completion-time block, the block holding the duration variables and a
 ``(n_tasks, k)`` map from each task to the block-local columns whose sum
-is its duration.  The Vdd LP passes ``arange(n*m).reshape(n, m)``, the
-Continuous program passes ``arange(n).reshape(n, 1)`` — same rows, same
-declaration, no per-solver COO assembly.
+is its duration — ``arange(n).reshape(n, 1)`` for one duration variable
+per task.  Same rows, same declaration, no per-solver COO assembly.
 """
 
 from __future__ import annotations

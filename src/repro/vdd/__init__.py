@@ -1,10 +1,11 @@
 """Solvers for the Vdd-Hopping energy model (Theorem 3).
 
 Under Vdd-Hopping a task may split its execution across several modes, so
-``MinEnergy(G, D)`` becomes a linear program: the decision variables are the
-time each task spends in each mode plus the task completion times, all
-constraints (work completion, precedence, deadline) are linear, and the
-objective ``sum_k P(s_k) * time_{i,k}`` is linear as well.
+``MinEnergy(G, D)`` becomes a linear program: mixing the two modes adjacent
+to a task's average speed is optimal, so each task's energy is a convex
+piecewise-linear function of its duration, and the LP minimises the sum of
+their epigraph variables over durations and completion times under the
+(linear) precedence and deadline constraints.
 
 Modules:
 

@@ -1,144 +1,113 @@
 """Linear-programming solver for the Vdd-Hopping model (Theorem 3).
 
+Mixing the two modes adjacent to a task's average speed is optimal, so the
+energy of task ``T_i`` is a convex piecewise-linear function of its duration
+``d`` — one line per pair of adjacent modes ``(s_j, s_{j+1})``:
+
+    ``E_i(d) = max_j (a_j * d + b_j * w_i)``  with
+    ``b_j = (P(s_{j+1}) - P(s_j)) / (s_{j+1} - s_j)``,  ``a_j = P(s_j) - b_j * s_j``.
+
+The LP is the epigraph of those functions over ``n`` durations:
+
 Decision variables
-    ``time[i, k]`` — time task ``T_i`` spends running at mode ``s_k``;
-    ``t[i]``       — completion time of ``T_i``.
+    ``d[i]`` in ``[w_i / s_max, w_i / s_min]`` — duration of ``T_i``;
+    ``t[i]`` in ``[0, D]``                     — completion time of ``T_i``;
+    ``e[i] >= w_i * P(s_min) / s_min``         — energy of ``T_i``.
 
 Linear program
-    minimise    sum_{i,k} P(s_k) * time[i, k]
-    subject to  sum_k s_k * time[i, k] == w_i                (work completion)
-                t[v] >= t[u] + sum_k time[v, k]              for every edge (u, v)
-                t[i] >= sum_k time[i, k]                     (start times >= 0)
-                0 <= t[i] <= D,   time[i, k] >= 0
+    minimise    sum_i e[i]
+    subject to  a_j * d[i] - e[i] <= -b_j * w_i        (``m - 1`` rows per task)
+                t[v] >= t[u] + d[v]                    for every edge (u, v)
+                t[i] >= d[i]                           (start times >= 0)
 
-The LP has ``n * m + n`` variables and ``n + |E| + n`` constraints, so it is
-solved in polynomial time — this is exactly the argument of Theorem 3.
+The energy bound is ``E_i`` at its longest duration (its minimum), which
+also makes the single-mode model, with no lines at all, exact.  The LP has
+``3n`` variables and ``(m - 1) n + |E| + n`` rows, so it is solved in
+polynomial time — this is exactly the argument of Theorem 3.  Each task's
+schedule is recovered from ``d[i]`` by :func:`repro.vdd.mixing.two_mode_mix`
+over the modes bracketing ``w_i / d[i]``.
 
-The program is *declared* through :mod:`repro.modeling` — two named
-variable blocks, the work-completion equalities, and the shared precedence
-polytope via :func:`repro.modeling.declare_precedence` — and materialises
-to sparse CSR exactly once.  No dense row buffers, no hand-rolled COO: a
-10,000-task instance costs megabytes instead of the ~GBs its dense
-equivalent would (each precedence row holds ``m + 2`` non-zeros out of
-``n * m + n`` columns).  :meth:`VddLP.constraint_memory` reports the
-actual sparse footprint next to the dense equivalent.
-
-Any LP backend registered on :data:`repro.modeling.BACKENDS` can consume
-the result: SciPy's HiGHS (default, sparse-native), the library's own
-educational dense simplex (size-guarded), or the optional cvxpy-family
-backends when installed.
+The program is *declared* through :mod:`repro.modeling` — three variable
+blocks, the epigraph rows and the shared precedence polytope via
+:func:`repro.modeling.declare_precedence` (3 non-zeros per edge row) — and
+materialises to sparse CSR exactly once;
+:meth:`repro.modeling.MaterializedLP.constraint_memory` reports the actual
+sparse footprint next to the dense equivalent.  The same declaration is the
+time-sharing relaxation of the Discrete and Incremental models
+(:mod:`repro.discrete.relaxation`).  Any LP backend registered on
+:data:`repro.modeling.BACKENDS` can consume it: SciPy's HiGHS (default,
+sparse-native), the library's own educational dense simplex (size-guarded),
+or the optional cvxpy-family backends when installed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import sparse
 
 from repro.core.models import VddHoppingModel
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import HoppingAssignment, Solution, make_solution
-from repro.modeling import BACKENDS, LinearModel, SIMPLEX_MAX_VARIABLES, declare_precedence
+from repro.modeling import (BACKENDS, LinearModel, MaterializedLP,
+                            SIMPLEX_MAX_VARIABLES, declare_precedence)
 from repro.utils.errors import InvalidModelError
+from repro.vdd.mixing import two_mode_mix
 
-__all__ = ["SIMPLEX_MAX_VARIABLES", "VddLP", "build_vdd_lp", "solve_vdd_lp"]
+__all__ = ["SIMPLEX_MAX_VARIABLES", "build_vdd_lp", "declare_vdd_lp",
+           "solve_vdd_lp"]
 
 
-@dataclass
-class VddLP:
-    """The assembled LP in matrix form, plus the variable index maps.
+def declare_vdd_lp(problem: MinEnergyProblem, *,
+                   accepts: tuple[type, ...] = (VddHoppingModel,)
+                   ) -> LinearModel:
+    """Declare the duration-epigraph LP over the modes of ``problem.model``.
 
-    ``a_ub`` and ``a_eq`` are ``scipy.sparse`` CSR matrices; use
-    ``.toarray()`` for a dense view on small instances.  ``model`` is the
-    underlying :class:`repro.modeling.LinearModel` declaration — hand it to
-    :data:`repro.modeling.BACKENDS` to solve with any registered backend.
+    ``accepts`` lists the admissible model classes; the Discrete relaxation
+    passes its own, since time-sharing over a mode set is the same LP.
     """
-
-    c: np.ndarray
-    a_ub: sparse.csr_matrix
-    b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
-    b_eq: np.ndarray
-    bounds: list[tuple[float, float | None]]
-    task_names: list[str]
-    modes: tuple[float, ...]
-    model: LinearModel
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_names)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
-    def time_index(self, task_idx: int, mode_idx: int) -> int:
-        """Column of the ``time[task, mode]`` variable."""
-        return task_idx * self.n_modes + mode_idx
-
-    def completion_index(self, task_idx: int) -> int:
-        """Column of the ``t[task]`` variable."""
-        return self.n_tasks * self.n_modes + task_idx
-
-    def constraint_memory(self) -> dict[str, int]:
-        """Actual sparse constraint-matrix bytes vs the dense equivalent."""
-        sparse_bytes = 0
-        dense_bytes = 0
-        for mat in (self.a_ub, self.a_eq):
-            sparse_bytes += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-            dense_bytes += mat.shape[0] * mat.shape[1] * 8
-        return {"sparse_bytes": int(sparse_bytes),
-                "dense_equivalent_bytes": int(dense_bytes)}
-
-
-def declare_vdd_lp(problem: MinEnergyProblem) -> LinearModel:
-    """Declare the Vdd-Hopping LP as a :class:`repro.modeling.LinearModel`."""
     model = problem.model
-    if not isinstance(model, VddHoppingModel):
+    if not isinstance(model, accepts):
         raise InvalidModelError(
-            f"build_vdd_lp expects a VddHoppingModel, got {model.name}"
+            f"the time-sharing LP expects a "
+            f"{' or '.join(c.__name__ for c in accepts)}, got {model.name}"
         )
-    graph = problem.graph
-    idx = graph.index()
+    idx = problem.graph.index()
     n = idx.n_tasks
-    modes_arr = np.asarray(model.modes, dtype=float)
-    m = len(model.modes)
+    works = idx.works.astype(float)
+    speeds = np.asarray(model.modes, dtype=float)
+    powers = np.array([problem.power.power(s) for s in model.modes])
+    slopes = np.diff(powers) / np.diff(speeds)  # b_j
+    intercepts = powers[:-1] - slopes * speeds[:-1]  # a_j
+    n_lines = len(slopes)
 
-    lm = LinearModel(name="vdd-hopping-lp")
-    time = lm.add_variables("time", n * m, lower=0.0)
+    lm = LinearModel(name=f"{model.name}-lp")
+    duration = lm.add_variables("duration", n, lower=works / speeds[-1],
+                                upper=works / speeds[0])
     completion = lm.add_variables("completion", n, lower=0.0,
                                   upper=problem.deadline)
-    lm.add_objective(time, np.tile(
-        np.array([problem.power.power(s) for s in model.modes]), n))
-
-    # equality: work completion — row i holds the mode speeds over the
-    # time[i, :] block
+    energy = lm.add_variables("energy", n,
+                              lower=works * powers[0] / speeds[0])
+    lm.add_objective(energy, 1.0)
+    # row i * n_lines + j: a_j * d_i - e_i <= -b_j * w_i
+    rows = np.arange(n * n_lines, dtype=np.int64)
+    task_of_row = np.repeat(np.arange(n, dtype=np.int64), n_lines)
     lm.add_constraints(
-        "work", sense="eq", rhs=idx.works.astype(float),
-        terms=[(time,
-                np.repeat(np.arange(n, dtype=np.int64), m),
-                np.arange(n * m, dtype=np.int64),
-                np.tile(modes_arr, n))])
-
-    # the shared precedence polytope: task i's duration is the sum of its
-    # per-mode time variables
+        "epigraph", sense="ub", rhs=-np.outer(works, slopes).ravel(),
+        terms=[(duration, rows, task_of_row, np.tile(intercepts, n)),
+               (energy, rows, task_of_row, -1.0)])
     declare_precedence(
-        lm, completion=completion, duration_block=time,
-        duration_cols=np.arange(n * m, dtype=np.int64).reshape(n, m),
+        lm, completion=completion, duration_block=duration,
+        duration_cols=np.arange(n, dtype=np.int64).reshape(n, 1),
         edge_src=idx.edge_src, edge_dst=idx.edge_dst)
     return lm
 
 
-def build_vdd_lp(problem: MinEnergyProblem) -> VddLP:
-    """Assemble the Vdd-Hopping LP for a problem instance (sparse CSR)."""
-    lm = declare_vdd_lp(problem)
-    mat = lm.materialize()
-    idx = problem.graph.index()
-    return VddLP(c=mat.c, a_ub=mat.a_ub, b_ub=mat.b_ub, a_eq=mat.a_eq,
-                 b_eq=mat.b_eq, bounds=mat.bounds,
-                 task_names=list(idx.names), modes=problem.model.modes,
-                 model=lm)
+def build_vdd_lp(problem: MinEnergyProblem) -> MaterializedLP:
+    """Assemble the Vdd-Hopping LP for a problem instance (sparse CSR).
+
+    Columns are ``[duration | completion | energy]``, ``n`` each, in the
+    order of ``problem.graph.index().names``.
+    """
+    return declare_vdd_lp(problem).materialize()
 
 
 def solve_vdd_lp(problem: MinEnergyProblem, *, backend: str = "highs") -> Solution:
@@ -164,38 +133,22 @@ def solve_vdd_lp(problem: MinEnergyProblem, *, backend: str = "highs") -> Soluti
         If the LP backend fails.
     """
     problem.ensure_feasible()
-    lp = build_vdd_lp(problem)
-    result = BACKENDS.solve(lp.model, backend=backend)
-    x = result.x
-
-    graph = problem.graph
+    lm = declare_vdd_lp(problem)
+    result = BACKENDS.solve(lm, backend=backend)
+    model = problem.model
+    idx = problem.graph.index()
     segments: dict[str, list[tuple[float, float]]] = {}
-    m = lp.n_modes
-    for i, name in enumerate(lp.task_names):
-        segs = []
-        for k, s in enumerate(lp.modes):
-            t = float(x[i * m + k])
-            if t > 1e-12:
-                segs.append((s, t))
-        if not segs:
-            # degenerate numerical case: give the task an infinitesimal slot
-            # at the fastest mode (its work is positive so this cannot
-            # normally happen with a correct LP solution)
-            segs = [(lp.modes[-1], graph.work(name) / lp.modes[-1])]
-        # rescale so the executed work matches exactly (the LP meets the
-        # equality only up to solver tolerance)
-        executed = sum(s * t for s, t in segs)
-        target = graph.work(name)
-        if executed > 0 and abs(executed - target) > 0:
-            factor = target / executed
-            segs = [(s, t * factor) for s, t in segs]
-        segments[name] = segs
+    for name, work, dur in zip(idx.names, idx.works.tolist(),
+                               result.x[:idx.n_tasks].tolist()):
+        segments[name] = two_mode_mix(work, dur,
+                                      *model.bracketing_modes(work / dur))
 
-    assignment = HoppingAssignment(segments=segments)
+    mat = lm.materialize()
     metadata = dict(result.metadata)
     metadata["lp_objective"] = result.objective
-    metadata["n_variables"] = int(lp.c.size)
-    metadata["n_constraints"] = int(lp.a_ub.shape[0] + lp.a_eq.shape[0])
-    metadata.update(lp.constraint_memory())
-    return make_solution(problem, assignment, solver=f"vdd-lp-{backend}",
-                         optimal=True, metadata=metadata)
+    metadata["n_variables"] = mat.n_vars
+    metadata["n_constraints"] = int(mat.a_ub.shape[0] + mat.a_eq.shape[0])
+    metadata.update(mat.constraint_memory())
+    return make_solution(problem, HoppingAssignment(segments=segments),
+                         solver=f"vdd-lp-{backend}", optimal=True,
+                         metadata=metadata)

@@ -256,7 +256,7 @@ class TestDeclarativeModels:
 class TestNoDensification:
     def test_large_lp_solve_path_never_calls_toarray(self, monkeypatch):
         """Above n=1000 variables, nothing on the HiGHS path may densify."""
-        graph = generators.layered_dag(600, seed=3)  # 600*2+600 = 1800 vars
+        graph = generators.layered_dag(600, seed=3)  # 3 blocks of 600 vars
         problem = _problem(graph, VddHoppingModel(modes=(0.5, 1.0)))
 
         def forbidden(self, *args, **kwargs):  # pragma: no cover - must not run
@@ -288,6 +288,38 @@ class TestNoDensification:
             mp.setattr(simplex_mod.sparse, "vstack", spy)
             solution = solve_vdd_lp(problem, backend="simplex")
         check_solution(solution)
-        # one sparse stack of [declared rows; bound rows], no dense vstack
-        assert any(len(shapes) == 2 and shapes[1][0] == 30
+        # one sparse stack of [declared rows; bound rows], no dense vstack;
+        # the bound rows are the 30 duration and 30 completion upper bounds
+        assert any(len(shapes) == 2 and shapes[1][0] == 2 * 30
                    for shapes in calls)
+
+
+# --------------------------------------------------------------------------- #
+# the HiGHS auto-switch reads the materialised matrix's coupling density
+# --------------------------------------------------------------------------- #
+class TestHighsDispatch:
+    FIVE_MODES = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+    @pytest.mark.parametrize("family,expected", [
+        ("layered", "highs-ipm"),  # ~14 edges per task
+        ("tree", "highs-ds"),      # 1 edge per task
+    ])
+    def test_auto_method_on_2000_tasks(self, family, expected):
+        gen = {"layered": generators.layered_dag,
+               "tree": generators.random_tree}[family]
+        problem = _problem(gen(2000, seed=7),
+                           VddHoppingModel(modes=self.FIVE_MODES), slack=1.5)
+        solution = solve_vdd_lp(problem)
+        assert solution.metadata["highs_method"] == expected
+        assert solution.metadata["lp_objective"] == pytest.approx(
+            solution.energy, rel=1e-9)
+
+    def test_coupling_counts_only_rows_with_three_non_zeros(self):
+        from repro.modeling.backends.highs import coupling_per_column
+        from repro.vdd.lp import build_vdd_lp
+
+        graph = generators.erdos_dag(20, seed=5, edge_probability=0.25)
+        problem = _problem(graph, VddHoppingModel(modes=self.FIVE_MODES))
+        # 3 non-zeros per edge row over 3 columns per task
+        assert coupling_per_column(build_vdd_lp(problem)) == pytest.approx(
+            graph.n_edges / graph.n_tasks)

@@ -1,10 +1,11 @@
 """Sparse/incremental large-n paths: equivalence and regression suites.
 
-PR 4 acceptance tests: the sparse Vdd LP assembly equals the dense one,
-the ``convex-sparse`` interior point matches the dense SLSQP objective,
-``GraphIndex.asap_update`` cone repairs equal full recomputes, the
-incremental greedy reproduces the classical rescan loop move for move,
-and the calibrated shard priors fit measured timings.
+PR 4 acceptance tests: the duration-epigraph Vdd LP reaches the optimum
+of the dense per-mode LP it replaced, the ``convex-sparse`` interior
+point matches the dense SLSQP objective, ``GraphIndex.asap_update`` cone
+repairs equal full recomputes, the incremental greedy reproduces the
+classical rescan loop move for move, and the calibrated shard priors fit
+measured timings.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.batch.shard import estimate_cost, priors_from_rows
 from repro.continuous.general import solve_general_convex
@@ -46,11 +48,11 @@ def _problem(graph, slack=1.5, alpha=3.0, s_max=1.0, model=None):
 
 
 # --------------------------------------------------------------------------- #
-# sparse LP assembly == dense assembly
+# the duration-epigraph LP == the per-mode time-sharing LP (optimum oracle)
 # --------------------------------------------------------------------------- #
 class TestSparseVddLP:
     def _dense_reference(self, problem):
-        """The former dense assembly, row semantics unchanged."""
+        """The former per-mode LP, dense: ``time[i, k]`` then ``t[i]``."""
         graph = problem.graph
         idx = graph.index()
         names = list(idx.names)
@@ -85,20 +87,57 @@ class TestSparseVddLP:
         a_ub = np.vstack(rows) if rows else np.zeros((0, n_vars))
         return c, a_ub, a_eq, b_eq
 
-    @pytest.mark.parametrize("cls,n", [("layered", 24), ("chain", 10),
-                                       ("fork", 7), ("erdos", 30)])
-    def test_sparse_matrices_equal_dense(self, cls, n):
-        gen = {"layered": generators.layered_dag, "chain": generators.chain,
-               "fork": generators.fork, "erdos": generators.erdos_dag}[cls]
-        graph = gen(n, seed=17)
-        problem = _problem(graph, model=VddHoppingModel(modes=(0.4, 0.7, 1.0)))
-        lp = build_vdd_lp(problem)
+    def _assert_matches_reference(self, problem):
+        """Same optimum as the per-mode LP; a valid two-adjacent-mode schedule."""
         c, a_ub, a_eq, b_eq = self._dense_reference(problem)
-        np.testing.assert_array_equal(lp.c, c)
-        np.testing.assert_array_equal(lp.a_ub.toarray(), a_ub)
-        np.testing.assert_array_equal(lp.a_eq.toarray(), a_eq)
-        np.testing.assert_array_equal(lp.b_eq, b_eq)
-        np.testing.assert_array_equal(lp.b_ub, np.zeros(a_ub.shape[0]))
+        n, modes = problem.graph.n_tasks, problem.model.modes
+        reference = optimize.linprog(
+            c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq, b_eq=b_eq,
+            bounds=[(0.0, None)] * (n * len(modes))
+            + [(0.0, problem.deadline)] * n, method="highs")
+        assert reference.success
+        solution = solve_vdd_lp(problem)
+        check_solution(solution)
+        assert solution.energy == pytest.approx(reference.fun, rel=1e-9)
+        assert solution.metadata["lp_objective"] == pytest.approx(
+            solution.energy, rel=1e-9)
+        for name, segs in solution.assignment.segments.items():
+            used = sorted(modes.index(s) for s, _t in segs)
+            assert len(used) <= 2 and used[-1] - used[0] <= 1, (name, segs)
+            assert sum(s * t for s, t in segs) == pytest.approx(
+                problem.graph.work(name), rel=1e-12)
+        return solution
+
+    @pytest.mark.parametrize("cls,n", [("layered", 24), ("chain", 10),
+                                       ("fork", 7), ("erdos", 30),
+                                       ("tree", 25), ("sp", 26)])
+    def test_optimum_matches_per_mode_lp(self, cls, n):
+        gen = {"layered": generators.layered_dag, "chain": generators.chain,
+               "fork": generators.fork, "erdos": generators.erdos_dag,
+               "tree": generators.random_tree,
+               "sp": generators.random_series_parallel}[cls]
+        graph = gen(n, seed=17)
+        self._assert_matches_reference(
+            _problem(graph, model=VddHoppingModel(modes=(0.4, 0.7, 1.0))))
+
+    def test_single_mode_model_matches_per_mode_lp(self):
+        graph = generators.layered_dag(20, seed=4)
+        solution = self._assert_matches_reference(
+            _problem(graph, model=VddHoppingModel(modes=(0.8,))))
+        assert all(segs == [(0.8, pytest.approx(graph.work(name) / 0.8))]
+                   for name, segs in solution.assignment.segments.items())
+
+    def test_loose_deadline_puts_some_durations_at_the_slowest_mode(self):
+        graph = generators.layered_dag(30, seed=8)
+        modes = (0.4, 0.7, 1.0)
+        problem = _problem(graph, slack=2.2,
+                           model=VddHoppingModel(modes=modes))
+        solution = self._assert_matches_reference(problem)
+        # d_i at its upper bound w_i / s_min: the task runs at s_min alone
+        slowest = [name for name, segs in solution.assignment.segments.items()
+                   if segs == [(modes[0], pytest.approx(
+                       graph.work(name) / modes[0], rel=1e-12))]]
+        assert 0 < len(slowest) < graph.n_tasks
 
     def test_constraint_memory_ratio(self):
         graph = generators.layered_dag(300, seed=5)

@@ -129,9 +129,11 @@ class TestVddLP:
         p = _problem(small_sp_graph, 1.5)
         lp = build_vdd_lp(p)
         n, m = small_sp_graph.n_tasks, 3
-        assert lp.c.size == n * m + n
-        assert lp.a_eq.shape == (n, n * m + n)
-        assert lp.a_ub.shape[0] == small_sp_graph.n_edges + n
+        # [duration | completion | energy]; epigraph, edge and start rows
+        assert lp.c.size == 3 * n
+        assert lp.a_eq.shape == (0, 3 * n)
+        assert lp.a_ub.shape == ((m - 1) * n + small_sp_graph.n_edges + n,
+                                 3 * n)
 
     def test_lp_requires_vdd_model(self, small_sp_graph):
         p = MinEnergyProblem(graph=small_sp_graph, deadline=100.0,
